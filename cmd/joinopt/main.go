@@ -60,6 +60,7 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"time"
 
@@ -70,6 +71,13 @@ import (
 	"milpjoin/joinorder"
 	"milpjoin/joinorder/cache"
 )
+
+// defaultThreads is the -threads default: four branch-and-bound workers,
+// but never more than the Go scheduler runs at once — extra workers on a
+// smaller host only bill node-LP CPU time without shortening the solve.
+func defaultThreads() int {
+	return min(4, runtime.GOMAXPROCS(0))
+}
 
 func main() {
 	var (
@@ -87,7 +95,7 @@ func main() {
 		metric    = flag.String("metric", "hash", "cost metric: cout, hash, smj, bnl, choose")
 		timeout   = flag.Duration("timeout", 30*time.Second, "optimization time budget")
 		gap       = flag.Float64("gap", 1e-6, "relative MIP gap at which to stop")
-		threads   = flag.Int("threads", 4, "parallel branch-and-bound workers")
+		threads   = flag.Int("threads", defaultThreads(), "parallel branch-and-bound workers (the default of 4 is capped at GOMAXPROCS)")
 		lpFile    = flag.String("lp", "", "also write the MILP in LP format to this file")
 		quiet     = flag.Bool("quiet", false, "suppress the anytime trace")
 		stats     = flag.Bool("stats", false, "print per-phase solver statistics after the plan")

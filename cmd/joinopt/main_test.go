@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -26,6 +27,20 @@ func TestParseShape(t *testing.T) {
 	}
 	if _, err := parseShape("triangle"); err == nil {
 		t.Error("unknown shape accepted")
+	}
+}
+
+// TestThreadsDefaultCappedByGOMAXPROCS: the -threads default never asks
+// for more branch-and-bound workers than the scheduler runs at once.
+func TestThreadsDefaultCappedByGOMAXPROCS(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	if got := defaultThreads(); got != 1 {
+		t.Errorf("GOMAXPROCS=1: default threads %d, want 1", got)
+	}
+	runtime.GOMAXPROCS(8)
+	if got := defaultThreads(); got != 4 {
+		t.Errorf("GOMAXPROCS=8: default threads %d, want 4", got)
 	}
 }
 

@@ -117,6 +117,10 @@ func Optimize(ctx context.Context, q *qopt.Query, opts Options) (*Result, error)
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
+	k, err := plan.NewKernel(q, opts.Spec)
+	if err != nil {
+		return nil, err
+	}
 	opts = opts.withDefaults()
 	parts := partitionGraph(q, opts.PartitionCap)
 	// The stitcher tracks partitions in a 64-bit mask: pathologically
@@ -194,10 +198,7 @@ func Optimize(ctx context.Context, q *qopt.Query, opts Options) (*Result, error)
 	order := st.concat(partOrder)
 
 	bestPlan := &plan.Plan{Order: append([]int(nil), order...)}
-	bestCost, err := plan.Cost(q, bestPlan, opts.Spec)
-	if err != nil {
-		return nil, fmt.Errorf("decomp: costing stitched plan: %w", err)
-	}
+	bestCost := k.Cost(bestPlan)
 	if opts.OnImprovement != nil {
 		opts.OnImprovement(clonePlan(bestPlan), bestCost)
 	}
@@ -215,7 +216,7 @@ func Optimize(ctx context.Context, q *qopt.Query, opts Options) (*Result, error)
 		}
 		order, _ = seamOptimize(q, opts.Spec, order, boundaries, opts.Deadline, func(cur []int) {
 			p2 := &plan.Plan{Order: append([]int(nil), cur...)}
-			if c2, cerr := plan.Cost(q, p2, opts.Spec); cerr == nil && c2 < bestCost {
+			if c2 := k.Cost(p2); c2 < bestCost {
 				bestPlan, bestCost = p2, c2
 				res.SeamImproved = true
 				if opts.OnImprovement != nil {
@@ -224,7 +225,7 @@ func Optimize(ctx context.Context, q *qopt.Query, opts Options) (*Result, error)
 			}
 		})
 		finalPlan := &plan.Plan{Order: order}
-		if fc, cerr := plan.Cost(q, finalPlan, opts.Spec); cerr == nil && fc < bestCost {
+		if fc := k.Cost(finalPlan); fc < bestCost {
 			bestPlan, bestCost = finalPlan, fc
 			res.SeamImproved = true
 			if opts.OnImprovement != nil {
@@ -254,11 +255,11 @@ func optimizeWhole(ctx context.Context, q *qopt.Query, opts Options, sizes []int
 			Options: dp.Options{MaxTables: 20, Deadline: opts.Deadline},
 		})
 		if err == nil {
-			// The DP objective is a valid bound over every plan (it
-			// underprices only by the non-negative expensive-predicate
-			// terms), but the reported cost is always plan.Cost.
+			// The bushy optimum bounds every plan (left-deep ones
+			// price the same under the shared kernel); the reported
+			// cost is always plan.Cost.
 			res.Bound = c
-			pl := flattenTree(tree, opts.Spec.Metric)
+			pl := plan.Flatten(tree, opts.Spec.Metric)
 			if pl == nil {
 				if ldPl, _, lerr := dp.OptimizeLeftDeep(ctx, q, opts.Spec, dp.Options{Deadline: opts.Deadline}); lerr == nil {
 					pl = ldPl
@@ -321,7 +322,7 @@ func solvePartition(ctx context.Context, q *qopt.Query, p Partition, opts Option
 			Options: dp.Options{MaxTables: 20, Deadline: deadline},
 		})
 		if err == nil {
-			localPlan = flattenTree(tree, opts.Spec.Metric)
+			localPlan = plan.Flatten(tree, opts.Spec.Metric)
 		}
 		if localPlan == nil {
 			if pl, _, lerr := dp.OptimizeLeftDeep(ctx, sub, opts.Spec, dp.Options{Deadline: deadline}); lerr == nil {
@@ -396,13 +397,9 @@ func greedyOrder(q *qopt.Query, p Partition, spec cost.Spec) []int {
 // finishGreedy fills Result with the greedy plan — the last-resort path
 // that keeps "always a feasible plan" true under any budget.
 func finishGreedy(q *qopt.Query, opts Options, res *Result) (*Result, error) {
-	pl, _, err := dp.GreedyLeftDeep(q, opts.Spec)
+	pl, c, err := dp.GreedyLeftDeep(q, opts.Spec) // c is pl's exact cost
 	if err != nil {
 		return nil, fmt.Errorf("decomp: greedy fallback: %w", err)
-	}
-	c, err := plan.Cost(q, pl, opts.Spec)
-	if err != nil {
-		return nil, fmt.Errorf("decomp: costing greedy fallback: %w", err)
 	}
 	res.Plan, res.Cost = pl, c
 	if res.Bound == 0 {
@@ -412,36 +409,6 @@ func finishGreedy(q *qopt.Query, opts Options, res *Result) (*Result, error) {
 		opts.OnImprovement(clonePlan(pl), c)
 	}
 	return res, nil
-}
-
-// flattenTree converts a linear bushy tree into the cost-equivalent
-// left-deep plan (nil for genuinely bushy shapes). Under C_out a join is
-// orientation-blind, so chains where every join has a leaf child flatten;
-// under operator costs only strict left-deep shapes qualify.
-func flattenTree(t *plan.Tree, metric cost.Metric) *plan.Plan {
-	if t == nil {
-		return nil
-	}
-	var rev []int
-	n := t
-	for !n.IsLeaf() {
-		switch {
-		case n.Right.IsLeaf():
-			rev = append(rev, n.Right.Table)
-			n = n.Left
-		case metric == cost.Cout && n.Left.IsLeaf():
-			rev = append(rev, n.Left.Table)
-			n = n.Right
-		default:
-			return nil
-		}
-	}
-	rev = append(rev, n.Table)
-	order := make([]int, len(rev))
-	for i, tb := range rev {
-		order[len(rev)-1-i] = tb
-	}
-	return &plan.Plan{Order: order}
 }
 
 func clonePlan(p *plan.Plan) *plan.Plan {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"milpjoin/internal/cost"
+	"milpjoin/internal/plan"
 	"milpjoin/internal/qopt"
 )
 
@@ -19,45 +20,37 @@ const quotientDPMax = 16
 // partitions before stitching.
 const maxPartitions = 64
 
-// predEvent marks a predicate completing while one partition is appended:
-// at local step within that partition's internal order, provided every
-// partition in required was already placed.
-type predEvent struct {
-	pred     int
-	step     int
-	required uint64
-}
-
-// groupEvent is the same for a correlated group: the group's correction
-// applies at the step where its last predicate completes.
-type groupEvent struct {
-	group    int
-	step     int
+// event marks a predicate (or a correlated group) completing while one
+// partition is appended, at the local step within that partition's
+// internal order it is filed under, provided every partition in required
+// was already placed. A group completes with its last predicate.
+type event struct {
+	idx      int // predicate or group index
 	required uint64
 }
 
 // stitcher orders fixed partition-internal join orders into one global
-// left-deep plan. Its incremental coster mirrors plan.Evaluate exactly —
-// cardinalities are per table set, predicates and correlation corrections
-// apply at the join where they first complete, C_out excludes the final
-// result, operator costs price outer/inner pages per join — so the cost
-// it minimizes is the cost plan.Cost reports for the stitched plan.
+// left-deep plan. Its incremental coster precomputes where each predicate
+// and correlation group completes and prices every join with the plan
+// kernel, so the cost it minimizes is the cost plan.Cost reports for the
+// stitched plan.
 type stitcher struct {
 	q      *qopt.Query
 	spec   cost.Spec
-	params cost.Params
+	k      *plan.Kernel
 	n      int
 	orders [][]int // per partition: global table ids in join order
 	sizes  []int
-	preds  [][][]predEvent  // [partition][step] -> completing predicates
-	groups [][][]groupEvent // [partition][step] -> completing groups
+	preds  [][][]event // [partition][step] -> completing predicates
+	groups [][][]event // [partition][step] -> completing groups
 }
 
 func newStitcher(q *qopt.Query, spec cost.Spec, orders [][]int) *stitcher {
+	k, _ := plan.NewKernel(q, spec) // Optimize rejected unknown metrics
 	st := &stitcher{
 		q:      q,
 		spec:   spec,
-		params: spec.Params.WithDefaults(),
+		k:      k,
 		n:      q.NumTables(),
 		orders: orders,
 		sizes:  make([]int, len(orders)),
@@ -70,11 +63,11 @@ func newStitcher(q *qopt.Query, spec cost.Spec, orders [][]int) *stitcher {
 			partOf[t], stepOf[t] = p, j
 		}
 	}
-	st.preds = make([][][]predEvent, len(orders))
-	st.groups = make([][][]groupEvent, len(orders))
+	st.preds = make([][][]event, len(orders))
+	st.groups = make([][][]event, len(orders))
 	for p := range orders {
-		st.preds[p] = make([][]predEvent, len(orders[p]))
-		st.groups[p] = make([][]groupEvent, len(orders[p]))
+		st.preds[p] = make([][]event, len(orders[p]))
+		st.groups[p] = make([][]event, len(orders[p]))
 	}
 	// A predicate completes while partition p is appended iff p holds one
 	// of its tables and all its other partitions are already placed; the
@@ -95,11 +88,7 @@ func newStitcher(q *qopt.Query, spec cost.Spec, orders [][]int) *stitcher {
 					last = stepOf[t]
 				}
 			}
-			st.preds[p][last] = append(st.preds[p][last], predEvent{
-				pred:     pi,
-				step:     last,
-				required: pmask &^ (1 << uint(p)),
-			})
+			st.preds[p][last] = append(st.preds[p][last], event{pi, pmask &^ (1 << uint(p))})
 		}
 	}
 	for gi, g := range q.Correlated {
@@ -120,11 +109,7 @@ func newStitcher(q *qopt.Query, spec cost.Spec, orders [][]int) *stitcher {
 					}
 				}
 			}
-			st.groups[p][last] = append(st.groups[p][last], groupEvent{
-				group:    gi,
-				step:     last,
-				required: gmask &^ (1 << uint(p)),
-			})
+			st.groups[p][last] = append(st.groups[p][last], event{gi, gmask &^ (1 << uint(p))})
 		}
 	}
 	return st
@@ -132,81 +117,47 @@ func newStitcher(q *qopt.Query, spec cost.Spec, orders [][]int) *stitcher {
 
 // appendCost walks partition p's internal order appended after the
 // partitions in placedMask (placed tables so far, entry cardinality card)
-// and returns the added plan cost plus the new running cardinality.
-// Events on the very first global table are deferred to the first join,
-// exactly as plan.Evaluate applies predicates only at joins; when the
-// first partition was a single table, its deferred events are rebuilt
-// here (they are a function of the mask alone, so DP states stay valid).
+// and returns the added plan cost plus the new running cardinality. As in
+// plan.Evaluate, the first global table is no join and enters the first
+// join raw, which bills the evaluation of its predicates; when the first
+// partition was a single table, that pending cost is rebuilt here (it is a
+// function of the mask alone, so DP states stay valid).
 func (st *stitcher) appendCost(placedMask uint64, p int, card float64, placed int) (float64, float64) {
-	var (
-		add      float64
-		pendSel  float64 = 1
-		pendEval float64
-		pending  bool
-	)
+	var add, eval, first float64
 	if placed == 1 {
 		p0 := bits.TrailingZeros64(placedMask)
+		first = st.q.Tables[st.orders[p0][0]].Card
 		for _, ev := range st.preds[p0][0] {
 			if ev.required == 0 {
-				pendSel *= st.q.Predicates[ev.pred].Sel
-				pendEval += st.q.Predicates[ev.pred].EvalCostPerTuple
-				pending = true
-			}
-		}
-		for _, ev := range st.groups[p0][0] {
-			if ev.required == 0 {
-				pendSel *= st.q.Correlated[ev.group].CorrectionSel
-				pending = true
+				eval += st.q.Predicates[ev.idx].EvalCostPerTuple
 			}
 		}
 	}
 	for j, t := range st.orders[p] {
 		tcard := st.q.Tables[t].Card
-		if placed == 0 && j == 0 {
-			card = tcard
-			for _, ev := range st.preds[p][0] {
-				if ev.required&^placedMask == 0 {
-					pendSel *= st.q.Predicates[ev.pred].Sel
-					pendEval += st.q.Predicates[ev.pred].EvalCostPerTuple
-					pending = true
-				}
-			}
-			for _, ev := range st.groups[p][0] {
-				if ev.required&^placedMask == 0 {
-					pendSel *= st.q.Correlated[ev.group].CorrectionSel
-					pending = true
-				}
-			}
-			continue
+		outer, res := card, tcard
+		if placed+j == 1 {
+			outer = first
 		}
-		outer := card
-		res := outer * tcard
-		var evalCost float64
-		if pending {
-			res *= pendSel
-			evalCost += pendEval * outer
-			pendSel, pendEval, pending = 1, 0, false
+		if placed+j > 0 {
+			res = card * tcard
 		}
 		for _, ev := range st.preds[p][j] {
 			if ev.required&^placedMask == 0 {
-				res *= st.q.Predicates[ev.pred].Sel
-				if ec := st.q.Predicates[ev.pred].EvalCostPerTuple; ec > 0 {
-					evalCost += ec * outer
-				}
+				res *= st.q.Predicates[ev.idx].Sel
+				eval += st.q.Predicates[ev.idx].EvalCostPerTuple
 			}
 		}
 		for _, ev := range st.groups[p][j] {
 			if ev.required&^placedMask == 0 {
-				res *= st.q.Correlated[ev.group].CorrectionSel
+				res *= st.q.Correlated[ev.idx].CorrectionSel
 			}
 		}
-		switch st.spec.Metric {
-		case cost.Cout:
-			if placed+j+1 < st.n {
-				add += res
-			}
-		default: // OperatorCost
-			add += cost.JoinCost(st.spec.Op, st.params.Pages(outer), st.params.Pages(tcard), st.params) + evalCost
+		if placed+j == 0 {
+			first = tcard // the plan's first table: no join yet
+		} else {
+			add += st.k.Price(st.spec.Op, outer, tcard, res, eval, placed+j+1 == st.n)
+			eval = 0
 		}
 		card = res
 	}

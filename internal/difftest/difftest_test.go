@@ -20,6 +20,7 @@ import (
 	"milpjoin/internal/core"
 	"milpjoin/internal/cost"
 	"milpjoin/internal/dp"
+	"milpjoin/internal/plan"
 	"milpjoin/internal/workload"
 	"milpjoin/joinorder"
 )
@@ -208,6 +209,47 @@ func TestStrategyHierarchy(t *testing.T) {
 	})
 }
 
+// withExtensions returns a copy of q carrying the predicate extensions the
+// generators never emit: a unary filter on the highest-index table, a
+// 3-ary predicate, an expensive predicate and a correlated group.
+func withExtensions(q *joinorder.Query) *joinorder.Query {
+	e := *q
+	n := q.NumTables()
+	e.Predicates = append([]joinorder.Predicate(nil), q.Predicates...)
+	e.Predicates[0].EvalCostPerTuple = 3
+	e.Predicates = append(e.Predicates,
+		joinorder.Predicate{Name: "filter", Tables: []int{n - 1}, Sel: 0.05},
+		joinorder.Predicate{Name: "tri", Tables: []int{0, n / 2, n - 1}, Sel: 0.3, EvalCostPerTuple: 0.5},
+	)
+	e.Correlated = append(append([]joinorder.CorrelatedGroup(nil), q.Correlated...),
+		joinorder.CorrelatedGroup{Predicates: []int{0, 1}, CorrectionSel: 1.8})
+	return &e
+}
+
+// oracleCase is one (query, metric) input of the exact-search oracles.
+type oracleCase struct {
+	name string
+	q    *joinorder.Query
+	opts joinorder.Options
+	spec cost.Spec
+}
+
+// oracleCases expands a matrix query into the oracle inputs: the query as
+// generated under the default C_out options (the original matrix input),
+// then under hash-join operator cost, then its withExtensions copy under
+// both metrics.
+func oracleCases(q *joinorder.Query) []oracleCase {
+	cout := cost.Spec{Metric: cost.Cout, Params: cost.Params{}.WithDefaults()}
+	hash := cost.Spec{Metric: cost.OperatorCost, Op: cost.HashJoin, Params: cost.Params{}.WithDefaults()}
+	ext := withExtensions(q)
+	return []oracleCase{
+		{"cout", q, joinorder.Options{}, cout},
+		{"hash", q, joinorder.Options{Metric: joinorder.OperatorCost, Op: joinorder.HashJoin}, hash},
+		{"ext/cout", ext, joinorder.Options{}, cout},
+		{"ext/hash", ext, joinorder.Options{Metric: joinorder.OperatorCost, Op: joinorder.HashJoin}, hash},
+	}
+}
+
 // TestDPAgainstExhaustiveOracle validates the DP baseline itself against
 // brute-force enumeration on queries small enough to enumerate.
 func TestDPAgainstExhaustiveOracle(t *testing.T) {
@@ -215,19 +257,20 @@ func TestDPAgainstExhaustiveOracle(t *testing.T) {
 		if n > 8 {
 			return
 		}
-		res, err := joinorder.Optimize(context.Background(), q, joinorder.Options{Strategy: "dp-leftdeep"})
-		if err != nil {
-			t.Fatalf("n=%d seed=%d: dp: %v", n, seed, err)
-		}
-		// The default C_out spec — what the zero-value public options cost
-		// plans with.
-		spec := cost.Spec{Metric: cost.Cout, Params: cost.Params{}.WithDefaults()}
-		_, best, err := dp.ExhaustiveLeftDeep(q, spec)
-		if err != nil {
-			t.Fatalf("n=%d seed=%d: exhaustive: %v", n, seed, err)
-		}
-		if math.Abs(res.Cost-best) > 1e-6*math.Max(1, best) {
-			t.Errorf("%v n=%d seed=%d: DP cost %g != exhaustive optimum %g", shape, n, seed, res.Cost, best)
+		for _, c := range oracleCases(q) {
+			opts := c.opts
+			opts.Strategy = "dp-leftdeep"
+			res, err := joinorder.Optimize(context.Background(), c.q, opts)
+			if err != nil {
+				t.Fatalf("n=%d seed=%d %s: dp: %v", n, seed, c.name, err)
+			}
+			_, best, err := dp.ExhaustiveLeftDeep(c.q, c.spec)
+			if err != nil {
+				t.Fatalf("n=%d seed=%d %s: exhaustive: %v", n, seed, c.name, err)
+			}
+			if math.Abs(res.Cost-best) > 1e-6*math.Max(1, best) {
+				t.Errorf("%v n=%d seed=%d %s: DP cost %g != exhaustive optimum %g", shape, n, seed, c.name, res.Cost, best)
+			}
 		}
 	})
 }
@@ -235,24 +278,37 @@ func TestDPAgainstExhaustiveOracle(t *testing.T) {
 // TestDPConvAgainstBushyOracle cross-checks the two exact bushy
 // optimizers — subset-recursion dp-bushy and layered-enumeration dpconv —
 // on the whole matrix: walking the same plan space, they must agree on
-// the optimal cost exactly (both also re-cost their trees, so agreement
-// here pins the enumeration, not just the pricing).
+// the optimal cost exactly, and each reported cost must be its tree's
+// exact cost, so agreement here pins the enumeration, not just the
+// pricing.
 func TestDPConvAgainstBushyOracle(t *testing.T) {
 	forEachQuery(t, func(t *testing.T, shape workload.GraphShape, n int, seed int64, q *joinorder.Query) {
-		bushy, err := joinorder.Optimize(context.Background(), q, joinorder.Options{Strategy: "dp-bushy"})
-		if err != nil {
-			t.Fatalf("n=%d seed=%d: dp-bushy: %v", n, seed, err)
-		}
-		conv, err := joinorder.Optimize(context.Background(), q, joinorder.Options{Strategy: "dpconv"})
-		if err != nil {
-			t.Fatalf("n=%d seed=%d: dpconv: %v", n, seed, err)
-		}
-		if math.Abs(conv.Cost-bushy.Cost) > 1e-6*math.Max(1, bushy.Cost) {
-			t.Errorf("%v n=%d seed=%d: dpconv %g != dp-bushy %g (conv %v, bushy %v)",
-				shape, n, seed, conv.Cost, bushy.Cost, conv.Tree, bushy.Tree)
-		}
-		if conv.Status != joinorder.StatusOptimal || bushy.Status != joinorder.StatusOptimal {
-			t.Errorf("%v n=%d seed=%d: statuses %v/%v, want optimal", shape, n, seed, conv.Status, bushy.Status)
+		for _, c := range oracleCases(q) {
+			opts := c.opts
+			opts.Strategy = "dp-bushy"
+			bushy, err := joinorder.Optimize(context.Background(), c.q, opts)
+			if err != nil {
+				t.Fatalf("n=%d seed=%d %s: dp-bushy: %v", n, seed, c.name, err)
+			}
+			opts.Strategy = "dpconv"
+			conv, err := joinorder.Optimize(context.Background(), c.q, opts)
+			if err != nil {
+				t.Fatalf("n=%d seed=%d %s: dpconv: %v", n, seed, c.name, err)
+			}
+			if math.Abs(conv.Cost-bushy.Cost) > 1e-6*math.Max(1, bushy.Cost) {
+				t.Errorf("%v n=%d seed=%d %s: dpconv %g != dp-bushy %g (conv %v, bushy %v)",
+					shape, n, seed, c.name, conv.Cost, bushy.Cost, conv.Tree, bushy.Tree)
+			}
+			if conv.Status != joinorder.StatusOptimal || bushy.Status != joinorder.StatusOptimal {
+				t.Errorf("%v n=%d seed=%d %s: statuses %v/%v, want optimal", shape, n, seed, c.name, conv.Status, bushy.Status)
+			}
+			for _, r := range []*joinorder.Result{bushy, conv} {
+				tc, err := plan.TreeCost(c.q, r.Tree, c.spec)
+				if err != nil || math.Abs(tc-r.Cost) > 1e-9*math.Max(1, r.Cost) {
+					t.Errorf("%v n=%d seed=%d %s: %s reports %g, its tree %v costs %g (%v)",
+						shape, n, seed, c.name, r.Strategy, r.Cost, r.Tree, tc, err)
+				}
+			}
 		}
 	})
 }

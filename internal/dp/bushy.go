@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
-	"time"
 
 	"milpjoin/internal/cost"
 	"milpjoin/internal/plan"
@@ -22,108 +20,50 @@ func OptimizeBushy(ctx context.Context, q *qopt.Query, spec cost.Spec, opts Opti
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := q.Validate(); err != nil {
-		return nil, 0, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, 0, fmt.Errorf("dp: %w", err)
-	}
 	opts = opts.withDefaults()
 	if opts.MaxTables > 20 {
 		opts.MaxTables = 20 // 3^n split enumeration is far steeper than 2^n
 	}
-	n := q.NumTables()
-	if n > opts.MaxTables {
-		return nil, 0, fmt.Errorf("%w: %d tables (bushy limit %d)", ErrTooLarge, n, opts.MaxTables)
+	k, card, pages, eval, err := subsetDP(ctx, q, spec, opts.MaxTables, "bushy limit")
+	if err != nil {
+		return nil, 0, err
 	}
-	params := spec.Params.WithDefaults()
 
+	n := q.NumTables()
 	size := 1 << n
-	card := make([]float64, size)
 	best := make([]float64, size)
 	split := make([]int32, size) // left subset of the best split; 0 for leaves
 	for s := range best {
 		best[s] = math.Inf(1)
 	}
 
-	type predInfo struct {
-		mask int
-		sel  float64
-	}
-	predsByTable := make([][]predInfo, n)
-	for _, p := range q.Predicates {
-		mask := 0
-		for _, t := range p.Tables {
-			mask |= 1 << t
-		}
-		for _, t := range p.Tables {
-			predsByTable[t] = append(predsByTable[t], predInfo{mask: mask, sel: p.Sel})
-		}
-	}
-	type groupInfo struct {
-		mask int
-		corr float64
-	}
-	var groups []groupInfo
-	for _, g := range q.Correlated {
-		mask := 0
-		for _, pi := range g.Predicates {
-			for _, t := range q.Predicates[pi].Tables {
-				mask |= 1 << t
-			}
-		}
-		groups = append(groups, groupInfo{mask: mask, corr: g.CorrectionSel})
-	}
-
 	full := size - 1
 	check := 0
 	for s := 1; s < size; s++ {
 		if check++; check&0x3FFF == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, 0, fmt.Errorf("dp: %w", err)
-			}
-			if !opts.Deadline.IsZero() && time.Now().After(opts.Deadline) {
-				return nil, 0, ErrTimeout
+			if err := interrupted(ctx, opts.Deadline); err != nil {
+				return nil, 0, err
 			}
 		}
-		if bits.OnesCount(uint(s)) == 1 {
-			t := bits.TrailingZeros(uint(s))
-			card[s] = q.Tables[t].Card
+		if s&(s-1) == 0 {
 			best[s] = 0
 			continue
 		}
-		// Cardinality via the canonical lowest-bit chain.
-		t := bits.TrailingZeros(uint(s))
-		prev := s &^ (1 << t)
-		c := card[prev] * q.Tables[t].Card
-		for _, pi := range predsByTable[t] {
-			if pi.mask&s == pi.mask {
-				c *= pi.sel
-			}
-		}
-		for _, g := range groups {
-			if g.mask&s == g.mask && g.mask&prev != g.mask {
-				c *= g.corr
-			}
-		}
-		card[s] = c
-
 		// Enumerate proper splits; (sub, s^sub) and its mirror are both
 		// visited, which is fine because join cost here is symmetric
 		// only for C_out — operator costs distinguish outer/inner.
+		price, resultOnly := k.ResultPrice(card, s, s == full)
 		for sub := (s - 1) & s; sub > 0; sub = (sub - 1) & s {
 			rest := s ^ sub
 			if math.IsInf(best[sub], 1) || math.IsInf(best[rest], 1) {
 				continue
 			}
-			var joinCost float64
-			switch spec.Metric {
-			case cost.Cout:
-				if s != full {
-					joinCost = card[s]
+			joinCost := price
+			if !resultOnly {
+				joinCost = k.SplitPrice(spec.Op, pages, sub, rest)
+				if eval != nil {
+					joinCost += k.SplitEval(card, eval, sub, rest, s)
 				}
-			case cost.OperatorCost:
-				joinCost = cost.JoinCost(spec.Op, params.Pages(card[sub]), params.Pages(card[rest]), params)
 			}
 			if total := best[sub] + best[rest] + joinCost; total < best[s] {
 				best[s] = total
@@ -136,14 +76,5 @@ func OptimizeBushy(ctx context.Context, q *qopt.Query, spec cost.Spec, opts Opti
 		return nil, 0, fmt.Errorf("dp: bushy search found no plan (internal error)")
 	}
 
-	var build func(s int) *plan.Tree
-	build = func(s int) *plan.Tree {
-		if bits.OnesCount(uint(s)) == 1 {
-			return plan.Leaf(bits.TrailingZeros(uint(s)))
-		}
-		sub := int(split[s])
-		return plan.Join(build(sub), build(s^sub))
-	}
-	tree := build(full)
-	return tree, best[full], nil
+	return buildTree(split, full), best[full], nil
 }

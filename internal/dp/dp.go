@@ -54,21 +54,18 @@ func OptimizeLeftDeep(ctx context.Context, q *qopt.Query, spec cost.Spec, opts O
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := q.Validate(); err != nil {
+	opts = opts.withDefaults()
+	k, card, pages, eval, err := subsetDP(ctx, q, spec, opts.MaxTables, "limit")
+	if err != nil {
 		return nil, 0, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, 0, fmt.Errorf("dp: %w", err)
-	}
-	opts = opts.withDefaults()
+	ops := []cost.Operator{spec.Op} // the cheapest of these joins
+	var opOf []int8                 // per subset: ops index of its last join
 	n := q.NumTables()
-	if n > opts.MaxTables {
-		return nil, 0, fmt.Errorf("%w: %d tables (limit %d)", ErrTooLarge, n, opts.MaxTables)
-	}
-	params := spec.Params.WithDefaults()
-
 	size := 1 << n
-	card := make([]float64, size)
+	if opts.ChooseOperators && pages != nil {
+		ops, opOf = cost.Operators(), make([]int8, size)
+	}
 	best := make([]float64, size)
 	choice := make([]int32, size)
 	for s := range best {
@@ -76,103 +73,45 @@ func OptimizeLeftDeep(ctx context.Context, q *qopt.Query, spec cost.Spec, opts O
 		choice[s] = -1
 	}
 
-	// Predicates indexed by member table, with a precomputed bitmask.
-	type predInfo struct {
-		mask int
-		sel  float64
-	}
-	predsByTable := make([][]predInfo, n)
-	for _, p := range q.Predicates {
-		mask := 0
-		for _, t := range p.Tables {
-			mask |= 1 << t
-		}
-		for _, t := range p.Tables {
-			predsByTable[t] = append(predsByTable[t], predInfo{mask: mask, sel: p.Sel})
-		}
-	}
-	type groupInfo struct {
-		mask int // union of member-predicate table sets
-		corr float64
-	}
-	var groups []groupInfo
-	for _, g := range q.Correlated {
-		mask := 0
-		for _, pi := range g.Predicates {
-			for _, t := range q.Predicates[pi].Tables {
-				mask |= 1 << t
-			}
-		}
-		groups = append(groups, groupInfo{mask: mask, corr: g.CorrectionSel})
-	}
-
 	full := size - 1
 	deadlineCheck := 0
 	for s := 1; s < size; s++ {
 		if deadlineCheck++; deadlineCheck&0xFFFF == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, 0, fmt.Errorf("dp: %w", err)
-			}
-			if !opts.Deadline.IsZero() && time.Now().After(opts.Deadline) {
-				return nil, 0, ErrTimeout
+			if err := interrupted(ctx, opts.Deadline); err != nil {
+				return nil, 0, err
 			}
 		}
-		if bits.OnesCount(uint(s)) == 1 {
-			t := bits.TrailingZeros(uint(s))
-			card[s] = q.Tables[t].Card
+		if s&(s-1) == 0 {
 			best[s] = 0
 			continue
 		}
-		// Cardinality: extend s\t by the lowest table t in s.
-		t := bits.TrailingZeros(uint(s))
-		prev := s &^ (1 << t)
-		c := card[prev] * q.Tables[t].Card
-		for _, pi := range predsByTable[t] {
-			if pi.mask&s == pi.mask {
-				c *= pi.sel
-			}
-		}
-		for _, g := range groups {
-			if g.mask&s == g.mask && g.mask&prev != g.mask {
-				// Group completed by adding t... only valid when t
-				// is in the group's mask; masks missing t complete
-				// earlier and were already counted.
-				c *= g.corr
-			}
-		}
-		card[s] = c
-
 		// Left-deep recurrence: last joined table r.
-		for rest := s; rest != 0; {
+		last := s == full
+		price, resultOnly := k.ResultPrice(card, s, last)
+		for rest := s; rest != 0; rest &= rest - 1 {
 			r := bits.TrailingZeros(uint(rest))
-			rest &^= 1 << r
 			sub := s &^ (1 << r)
-			if bits.OnesCount(uint(sub)) >= 1 && math.IsInf(best[sub], 1) {
+			if math.IsInf(best[sub], 1) {
 				continue
 			}
-			var joinCost float64
-			switch spec.Metric {
-			case cost.Cout:
-				if s != full {
-					joinCost = card[s]
-				}
-			case cost.OperatorCost:
-				pgo := params.Pages(card[sub])
-				pgi := params.Pages(q.Tables[r].Card)
-				if opts.ChooseOperators {
-					joinCost = math.Inf(1)
-					for _, op := range cost.Operators() {
-						if c := cost.JoinCost(op, pgo, pgi, params); c < joinCost {
-							joinCost = c
-						}
+			joinCost, op := price, 0
+			if !resultOnly {
+				joinCost = k.SplitPrice(ops[0], pages, sub, 1<<r)
+				for i := 1; i < len(ops); i++ {
+					if c := k.SplitPrice(ops[i], pages, sub, 1<<r); c < joinCost {
+						joinCost, op = c, i
 					}
-				} else {
-					joinCost = cost.JoinCost(spec.Op, pgo, pgi, params)
+				}
+				if eval != nil {
+					joinCost += k.SplitEval(card, eval, sub, 1<<r, s)
 				}
 			}
 			if total := best[sub] + joinCost; total < best[s] {
 				best[s] = total
 				choice[s] = int32(r)
+				if opOf != nil {
+					opOf[s] = int8(op)
+				}
 			}
 		}
 	}
@@ -181,43 +120,22 @@ func OptimizeLeftDeep(ctx context.Context, q *qopt.Query, spec cost.Spec, opts O
 		return nil, 0, errors.New("dp: no plan found (internal error)")
 	}
 
-	// Reconstruct the join order.
-	order := make([]int, n)
+	// Reconstruct the join order, and the operators when chosen.
+	pl := &plan.Plan{Order: make([]int, n)}
+	if opOf != nil {
+		pl.Operators = make([]cost.Operator, n-1)
+	}
 	s := full
-	for k := n - 1; k >= 1; k-- {
+	for j := n - 1; j >= 1; j-- {
 		r := int(choice[s])
-		order[k] = r
+		pl.Order[j] = r
+		if opOf != nil {
+			pl.Operators[j-1] = ops[opOf[s]]
+		}
 		s &^= 1 << r
 	}
-	order[0] = bits.TrailingZeros(uint(s))
-
-	pl := &plan.Plan{Order: order}
-	if opts.ChooseOperators && spec.Metric == cost.OperatorCost {
-		pl.Operators = assignBestOperators(q, pl, params)
-	}
+	pl.Order[0] = bits.TrailingZeros(uint(s))
 	return pl, best[full], nil
-}
-
-// assignBestOperators walks a plan and picks the cheapest operator per join
-// given the exact operand cardinalities.
-func assignBestOperators(q *qopt.Query, pl *plan.Plan, params cost.Params) []cost.Operator {
-	eval, err := plan.Evaluate(q, pl, cost.Spec{Metric: cost.OperatorCost, Op: cost.HashJoin, Params: params})
-	if err != nil {
-		return nil
-	}
-	ops := make([]cost.Operator, len(eval.Steps))
-	for j, step := range eval.Steps {
-		pgo := params.Pages(step.OuterCard)
-		pgi := params.Pages(step.InnerCard)
-		bestOp, bestCost := cost.HashJoin, math.Inf(1)
-		for _, op := range cost.Operators() {
-			if c := cost.JoinCost(op, pgo, pgi, params); c < bestCost {
-				bestOp, bestCost = op, c
-			}
-		}
-		ops[j] = bestOp
-	}
-	return ops
 }
 
 // ExhaustiveLeftDeep enumerates every permutation; a test oracle for small
@@ -227,26 +145,29 @@ func ExhaustiveLeftDeep(q *qopt.Query, spec cost.Spec) (*plan.Plan, float64, err
 	if n > 9 {
 		return nil, 0, fmt.Errorf("%w: exhaustive search limited to 9 tables", ErrTooLarge)
 	}
+	k, err := plan.NewKernel(q, spec)
+	if err != nil {
+		return nil, 0, err
+	}
 	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = i
 	}
 	bestCost := math.Inf(1)
 	var bestOrder []int
-	var rec func(k int)
-	rec = func(k int) {
-		if k == n {
-			c, err := plan.Cost(q, &plan.Plan{Order: perm}, spec)
-			if err == nil && c < bestCost {
+	var rec func(i int)
+	rec = func(i int) {
+		if i == n {
+			if c := k.Cost(&plan.Plan{Order: perm}); c < bestCost {
 				bestCost = c
 				bestOrder = append([]int(nil), perm...)
 			}
 			return
 		}
-		for i := k; i < n; i++ {
-			perm[k], perm[i] = perm[i], perm[k]
-			rec(k + 1)
-			perm[k], perm[i] = perm[i], perm[k]
+		for j := i; j < n; j++ {
+			perm[i], perm[j] = perm[j], perm[i]
+			rec(i + 1)
+			perm[i], perm[j] = perm[j], perm[i]
 		}
 	}
 	rec(0)
@@ -263,6 +184,10 @@ func GreedyLeftDeep(q *qopt.Query, spec cost.Spec) (*plan.Plan, float64, error) 
 	if err := q.Validate(); err != nil {
 		return nil, 0, err
 	}
+	k, err := plan.NewKernel(q, spec)
+	if err != nil {
+		return nil, 0, err
+	}
 	n := q.NumTables()
 	used := make([]bool, n)
 
@@ -275,9 +200,8 @@ func GreedyLeftDeep(q *qopt.Query, spec cost.Spec) (*plan.Plan, float64, error) 
 	}
 	order := []int{start}
 	used[start] = true
-	inSet := map[int]bool{start: true}
-	curCard := q.Tables[start].Card
-	applied := make([]bool, len(q.Predicates))
+	w := k.NewWalker()
+	w.Place(start)
 
 	for len(order) < n {
 		bestT, bestCard := -1, math.Inf(1)
@@ -285,45 +209,67 @@ func GreedyLeftDeep(q *qopt.Query, spec cost.Spec) (*plan.Plan, float64, error) 
 			if used[t] {
 				continue
 			}
-			c := curCard * q.Tables[t].Card
-			inSet[t] = true
-			for pi, p := range q.Predicates {
-				if !applied[pi] && tablesIn(p.Tables, inSet) {
-					c *= p.Sel
-				}
-			}
-			inSet[t] = false
 			// bestT == -1 keeps the first candidate even when every
 			// product has overflowed to +Inf (hundreds of tables), where
 			// no strict comparison would ever pick one.
-			if bestT == -1 || c < bestCard {
+			if c := w.Peek(t); bestT == -1 || c < bestCard {
 				bestT, bestCard = t, c
 			}
 		}
 		used[bestT] = true
-		inSet[bestT] = true
 		order = append(order, bestT)
-		for pi, p := range q.Predicates {
-			if !applied[pi] && tablesIn(p.Tables, inSet) {
-				applied[pi] = true
-			}
-		}
-		curCard = bestCard
+		w.Place(bestT)
 	}
 
 	pl := &plan.Plan{Order: order}
-	c, err := plan.Cost(q, pl, spec)
-	if err != nil {
-		return nil, 0, err
-	}
-	return pl, c, nil
+	return pl, k.Cost(pl), nil
 }
 
-func tablesIn(tables []int, set map[int]bool) bool {
-	for _, t := range tables {
-		if !set[t] {
-			return false
-		}
+// subsetDP checks a subset DP run against its table limit and sets up its
+// tables, indexed by table subset: the kernel, the operand cardinalities,
+// their page counts under operator cost, and the evaluation costs when
+// joins price them. Under operator cost without evaluation costs the page
+// counts overwrite the cardinalities, which no price then reads.
+func subsetDP(ctx context.Context, q *qopt.Query, spec cost.Spec, limit int, kind string) (k *plan.Kernel, card, pages, eval []float64, err error) {
+	if err := q.Validate(); err != nil {
+		return nil, nil, nil, nil, err
 	}
-	return true
+	if err := interrupted(ctx, time.Time{}); err != nil {
+		return nil, nil, nil, nil, err
+	}
+	n := q.NumTables()
+	if n > limit {
+		return nil, nil, nil, nil, fmt.Errorf("%w: %d tables (%s %d)", ErrTooLarge, n, kind, limit)
+	}
+	if k, err = plan.NewKernel(q, spec); err != nil {
+		return nil, nil, nil, nil, err
+	}
+	tables := make([]int, n)
+	for i := range tables {
+		tables[i] = i
+	}
+	card, eval = k.NewWalker().Subsets(tables)
+	return k, card, k.OperandPages(card), eval, nil
+}
+
+// interrupted is why a DP must stop early, if it must: the context's
+// error, or ErrTimeout past the deadline.
+func interrupted(ctx context.Context, deadline time.Time) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("dp: %w", err)
+	}
+	if !deadline.IsZero() && time.Now().After(deadline) {
+		return ErrTimeout
+	}
+	return nil
+}
+
+// buildTree reconstructs the bushy tree over subset s from split, the
+// left (outer) half of each subset's best split.
+func buildTree(split []int32, s int) *plan.Tree {
+	if s&(s-1) == 0 {
+		return plan.Leaf(bits.TrailingZeros(uint(s)))
+	}
+	sub := int(split[s])
+	return plan.Join(buildTree(split, sub), buildTree(split, s^sub))
 }

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
-	"time"
 
 	"milpjoin/internal/cost"
 	"milpjoin/internal/plan"
@@ -41,75 +39,38 @@ type ConvOptions struct {
 // containing the subset's lowest table so each unordered partition is
 // priced once (both orientations are priced under asymmetric operator
 // costs), and an optional live cutoff prunes dominated layers — giving the
-// exact DP an anytime interface. Cardinalities follow the same canonical
-// lowest-bit recurrence as OptimizeBushy, so both searches agree exactly on
-// every subset and, with no cutoff, on the optimal plan and cost.
+// exact DP an anytime interface. Cardinalities come from the plan
+// kernel's subset recurrence, as in OptimizeBushy, so both searches agree
+// exactly on every subset and, with no cutoff, on the optimal plan and
+// cost.
 func OptimizeConv(ctx context.Context, q *qopt.Query, spec cost.Spec, opts ConvOptions) (*plan.Tree, float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if err := q.Validate(); err != nil {
-		return nil, 0, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, 0, fmt.Errorf("dp: %w", err)
 	}
 	opts.Options = opts.Options.withDefaults()
 	if opts.MaxTables > 20 {
 		opts.MaxTables = 20 // layered split enumeration is still Θ(3^n)
 	}
-	n := q.NumTables()
-	if n > opts.MaxTables {
-		return nil, 0, fmt.Errorf("%w: %d tables (bushy limit %d)", ErrTooLarge, n, opts.MaxTables)
+	k, card, pages, eval, err := subsetDP(ctx, q, spec, opts.MaxTables, "bushy limit")
+	if err != nil {
+		return nil, 0, err
 	}
-	params := spec.Params.WithDefaults()
 
+	n := q.NumTables()
 	size := 1 << n
-	card := make([]float64, size)
 	best := make([]float64, size)
 	split := make([]int32, size) // left subset of the best split; 0 for leaves
 	for s := range best {
 		best[s] = math.Inf(1)
 	}
-
-	type predInfo struct {
-		mask int
-		sel  float64
-	}
-	predsByTable := make([][]predInfo, n)
-	for _, p := range q.Predicates {
-		mask := 0
-		for _, t := range p.Tables {
-			mask |= 1 << t
-		}
-		for _, t := range p.Tables {
-			predsByTable[t] = append(predsByTable[t], predInfo{mask: mask, sel: p.Sel})
-		}
-	}
-	type groupInfo struct {
-		mask int
-		corr float64
-	}
-	var groups []groupInfo
-	for _, g := range q.Correlated {
-		mask := 0
-		for _, pi := range g.Predicates {
-			for _, t := range q.Predicates[pi].Tables {
-				mask |= 1 << t
-			}
-		}
-		groups = append(groups, groupInfo{mask: mask, corr: g.CorrectionSel})
-	}
-
 	for t := 0; t < n; t++ {
-		card[1<<t] = q.Tables[t].Card
 		best[1<<t] = 0
 	}
 
 	full := size - 1
 	pruned := false
 	check := 0
-	for k := 2; k <= n; k++ {
+	for layer := 2; layer <= n; layer++ {
 		// Re-read the cutoff once per layer: tight enough to benefit
 		// from racing incumbents, cheap enough to keep the inner loop
 		// branch-free of callbacks. The epsilon keeps a plan that ties
@@ -120,40 +81,19 @@ func OptimizeConv(ctx context.Context, q *qopt.Query, spec cost.Spec, opts ConvO
 				cut = c * (1 + 1e-9)
 			}
 		}
-		for s := (1 << k) - 1; s < size; s = nextSubsetSameCount(s) {
+		for s := (1 << layer) - 1; s < size; s = nextSubsetSameCount(s) {
 			if check++; check&0x3FFF == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, 0, fmt.Errorf("dp: %w", err)
-				}
-				if !opts.Deadline.IsZero() && time.Now().After(opts.Deadline) {
-					return nil, 0, ErrTimeout
+				if err := interrupted(ctx, opts.Deadline); err != nil {
+					return nil, 0, err
 				}
 			}
-			// Cardinality via the canonical lowest-bit chain (identical
-			// to OptimizeBushy so both DPs agree on every subset).
-			t := bits.TrailingZeros(uint(s))
-			bit := 1 << t
-			prev := s &^ bit
-			c := card[prev] * q.Tables[t].Card
-			for _, pi := range predsByTable[t] {
-				if pi.mask&s == pi.mask {
-					c *= pi.sel
-				}
-			}
-			for _, g := range groups {
-				if g.mask&s == g.mask && g.mask&prev != g.mask {
-					c *= g.corr
-				}
-			}
-			card[s] = c
-
 			// Canonical splits: the half containing the lowest table.
-			// Each unordered partition is enumerated exactly once; under
-			// asymmetric operator costs both orientations are priced.
-			var coutCost float64
-			if spec.Metric == cost.Cout && s != full {
-				coutCost = card[s]
-			}
+			// Each unordered partition is enumerated exactly once; both
+			// orientations are priced unless the price depends on the
+			// result alone.
+			bit := s & -s
+			prev := s &^ bit
+			price, resultOnly := k.ResultPrice(card, s, s == full)
 			for low := (prev - 1) & prev; ; low = (low - 1) & prev {
 				sub := low | bit
 				rest := s ^ sub // never empty: low is a proper subset of prev
@@ -164,20 +104,23 @@ func OptimizeConv(ctx context.Context, q *qopt.Query, spec cost.Spec, opts ConvO
 					continue
 				}
 				base := best[sub] + best[rest]
-				switch spec.Metric {
-				case cost.Cout:
-					if total := base + coutCost; total < best[s] {
+				if resultOnly {
+					if total := base + price; total < best[s] {
 						best[s] = total
 						split[s] = int32(sub)
 					}
-				case cost.OperatorCost:
-					pgSub := params.Pages(card[sub])
-					pgRest := params.Pages(card[rest])
-					if total := base + cost.JoinCost(spec.Op, pgSub, pgRest, params); total < best[s] {
+				} else {
+					subOuter := k.SplitPrice(spec.Op, pages, sub, rest)
+					restOuter := k.SplitPrice(spec.Op, pages, rest, sub)
+					if eval != nil {
+						subOuter += k.SplitEval(card, eval, sub, rest, s)
+						restOuter += k.SplitEval(card, eval, rest, sub, s)
+					}
+					if total := base + subOuter; total < best[s] {
 						best[s] = total
 						split[s] = int32(sub)
 					}
-					if total := base + cost.JoinCost(spec.Op, pgRest, pgSub, params); total < best[s] {
+					if total := base + restOuter; total < best[s] {
 						best[s] = total
 						split[s] = int32(rest)
 					}
@@ -200,16 +143,7 @@ func OptimizeConv(ctx context.Context, q *qopt.Query, spec cost.Spec, opts ConvO
 		return nil, 0, fmt.Errorf("dp: conv search found no plan (internal error)")
 	}
 
-	var build func(s int) *plan.Tree
-	build = func(s int) *plan.Tree {
-		if bits.OnesCount(uint(s)) == 1 {
-			return plan.Leaf(bits.TrailingZeros(uint(s)))
-		}
-		sub := int(split[s])
-		return plan.Join(build(sub), build(s^sub))
-	}
-	tree := build(full)
-	return tree, best[full], nil
+	return buildTree(split, full), best[full], nil
 }
 
 // nextSubsetSameCount returns the next-larger integer with the same

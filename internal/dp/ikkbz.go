@@ -74,6 +74,7 @@ func IKKBZ(ctx context.Context, q *qopt.Query) (*plan.Plan, float64, error) {
 		}
 	}
 
+	k, _ := plan.NewKernel(q, cost.CoutSpec()) // C_out is a known metric
 	bestCost := math.Inf(1)
 	var bestOrder []int
 	for root := 0; root < n; root++ {
@@ -81,8 +82,7 @@ func IKKBZ(ctx context.Context, q *qopt.Query) (*plan.Plan, float64, error) {
 			return nil, 0, fmt.Errorf("dp: %w", err)
 		}
 		order := ikkbzForRoot(root, adj, card, n)
-		c := coutOfOrder(q, order)
-		if c < bestCost {
+		if c := k.Cost(&plan.Plan{Order: order}); c < bestCost {
 			bestCost = c
 			bestOrder = order
 		}
@@ -184,19 +184,6 @@ func normalize(chain []*module) []*module {
 		}
 	}
 	return out
-}
-
-// coutOfOrder prices an order exactly (C_out, final result excluded).
-func coutOfOrder(q *qopt.Query, order []int) float64 {
-	c, err := planCout(q, order)
-	if err != nil {
-		return math.Inf(1)
-	}
-	return c
-}
-
-func planCout(q *qopt.Query, order []int) (float64, error) {
-	return plan.Cost(q, &plan.Plan{Order: order}, cost.CoutSpec())
 }
 
 func connected(adj []map[int]float64, n int) bool {

@@ -58,7 +58,7 @@ func (o Options) withDefaults(n int) Options {
 type search struct {
 	ctx   context.Context
 	q     *qopt.Query
-	spec  cost.Spec
+	k     *plan.Kernel
 	opts  Options
 	rng   *rand.Rand
 	start time.Time
@@ -74,10 +74,14 @@ func newSearch(ctx context.Context, q *qopt.Query, spec cost.Spec, opts Options)
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
+	k, err := plan.NewKernel(q, spec)
+	if err != nil {
+		return nil, err
+	}
 	return &search{
 		ctx:      ctx,
 		q:        q,
-		spec:     spec,
+		k:        k,
 		opts:     opts.withDefaults(q.NumTables()),
 		rng:      rand.New(rand.NewSource(opts.Seed)),
 		start:    time.Now(),
@@ -97,11 +101,11 @@ func (s *search) expired() bool {
 
 // planCost prices an order; math.Inf(1) on (impossible) evaluation errors.
 func (s *search) planCost(order []int) float64 {
-	c, err := plan.Cost(s.q, &plan.Plan{Order: order}, s.spec)
-	if err != nil {
+	p := &plan.Plan{Order: order}
+	if p.Validate(s.q) != nil {
 		return math.Inf(1)
 	}
-	return c
+	return s.k.Cost(p)
 }
 
 func (s *search) offer(order []int, c float64) {

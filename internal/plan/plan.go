@@ -1,7 +1,25 @@
-// Package plan represents left-deep query plans and prices them exactly
-// (without the linear approximations the MILP encoder uses). The exact
-// coster is the ground truth that decoded MILP plans and DP plans are
-// compared against.
+// Package plan represents join plans and prices them exactly (without the
+// linear approximations the MILP encoder uses). One Kernel per (query,
+// Spec) holds the cost model; every exact coster in the module — Evaluate,
+// Cost, TreeCost, the dynamic programs and the hybrid decomposition — uses
+// it, so they all price a plan alike.
+//
+// The cost model (Sections 4.3 and 5.1 of the paper):
+//
+//   - The cardinality of a table set is the product of the tables'
+//     cardinalities, the selectivities of every predicate whose tables are
+//     all in the set (unary, binary and n-ary alike), and the correction
+//     of every correlated group whose predicates all apply.
+//   - A join's operand is priced on that cardinality, except a single
+//     table, which is scanned raw: its unary predicates are applied by the
+//     first join it enters.
+//   - A join first applying a predicate with an evaluation cost bills
+//     EvalCostPerTuple times its outer (left) operand's cardinality.
+//   - C_out sums the result cardinality of every join but the last; the
+//     final result is the same for every plan and is left out. Evaluation
+//     costs are recorded per join (JoinStep.Cost) but not summed.
+//   - OperatorCost sums, per join, the operator's cost on the operand page
+//     counts plus the evaluation cost billed to the join.
 package plan
 
 import (
@@ -73,7 +91,9 @@ type JoinStep struct {
 	ResultCard float64
 	// AppliedPreds lists predicates first applied at this join.
 	AppliedPreds []int
-	// Cost is this join's cost (excluding Cout accounting).
+	// Cost is this join's work: its operator cost (OperatorCost only)
+	// plus the evaluation cost of the predicates it applies first. Under
+	// C_out the plan total sums result cardinalities instead.
 	Cost float64
 }
 
@@ -86,119 +106,30 @@ type Costing struct {
 	FinalCard float64
 }
 
-// Evaluate prices the plan exactly under spec. Cardinalities are the
-// products of table cardinalities and applicable predicate selectivities
-// (with correlation corrections), per the paper's model.
+// Evaluate prices the plan exactly under spec, join by join (see the
+// package documentation for the cost model).
 func Evaluate(q *qopt.Query, p *Plan, spec cost.Spec) (*Costing, error) {
+	k, err := kernelFor(q, p, spec)
+	if err != nil {
+		return nil, err
+	}
+	c := &Costing{Steps: make([]JoinStep, 0, len(p.Order)-1)}
+	c.Total = k.walk(p, c)
+	return c, nil
+}
+
+func kernelFor(q *qopt.Query, p *Plan, spec cost.Spec) (*Kernel, error) {
 	if err := p.Validate(q); err != nil {
 		return nil, err
 	}
-	params := spec.Params.WithDefaults()
-	n := q.NumTables()
-
-	inSet := make([]bool, n)
-	predApplied := make([]bool, len(q.Predicates))
-	groupApplied := make([]bool, len(q.Correlated))
-
-	inSet[p.Order[0]] = true
-	curCard := q.Tables[p.Order[0]].Card
-
-	c := &Costing{}
-	for j := 0; j+1 < n; j++ {
-		inner := p.Order[j+1]
-		innerCard := q.Tables[inner].Card
-		outerCard := curCard
-		inSet[inner] = true
-
-		step := JoinStep{
-			Inner:     inner,
-			OuterCard: outerCard,
-			InnerCard: innerCard,
-		}
-
-		// Result cardinality: product, then newly applicable
-		// predicates and newly complete correlation groups.
-		resCard := outerCard * innerCard
-		for pi := range q.Predicates {
-			if predApplied[pi] {
-				continue
-			}
-			if tablesPresent(q.Predicates[pi].Tables, inSet) {
-				predApplied[pi] = true
-				resCard *= q.Predicates[pi].Sel
-				step.AppliedPreds = append(step.AppliedPreds, pi)
-
-				// Expensive-predicate evaluation cost: paid once,
-				// on the result that triggers evaluation (priced on
-				// the outer cardinality, mirroring the Σ pco·co
-				// term of Section 5.1).
-				if ec := q.Predicates[pi].EvalCostPerTuple; ec > 0 {
-					step.Cost += ec * outerCard
-				}
-			}
-		}
-		for gi, g := range q.Correlated {
-			if groupApplied[gi] {
-				continue
-			}
-			all := true
-			for _, pi := range g.Predicates {
-				if !predApplied[pi] {
-					all = false
-					break
-				}
-			}
-			if all {
-				groupApplied[gi] = true
-				resCard *= g.CorrectionSel
-			}
-		}
-		step.ResultCard = resCard
-
-		op := spec.Op
-		if p.Operators != nil {
-			op = p.Operators[j]
-		}
-		step.Operator = op
-
-		switch spec.Metric {
-		case cost.Cout:
-			// Sum of intermediate result cardinalities; the final
-			// result is the same for every complete plan and is
-			// excluded, matching the Σ_{j≥1} co_j of Section 4.3.
-			if j+2 < n {
-				c.Total += resCard
-			}
-		case cost.OperatorCost:
-			pgo := params.Pages(outerCard)
-			pgi := params.Pages(innerCard)
-			step.Cost += cost.JoinCost(op, pgo, pgi, params)
-			c.Total += step.Cost
-		default:
-			return nil, fmt.Errorf("plan: unknown metric %v", spec.Metric)
-		}
-
-		curCard = resCard
-		c.Steps = append(c.Steps, step)
-	}
-	c.FinalCard = curCard
-	return c, nil
+	return NewKernel(q, spec)
 }
 
 // Cost is a convenience wrapper returning only the total cost.
 func Cost(q *qopt.Query, p *Plan, spec cost.Spec) (float64, error) {
-	c, err := Evaluate(q, p, spec)
+	k, err := kernelFor(q, p, spec)
 	if err != nil {
 		return math.NaN(), err
 	}
-	return c.Total, nil
-}
-
-func tablesPresent(tables []int, inSet []bool) bool {
-	for _, t := range tables {
-		if !inSet[t] {
-			return false
-		}
-	}
-	return true
+	return k.Cost(p), nil
 }

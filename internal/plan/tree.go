@@ -87,94 +87,63 @@ func (p *Plan) LeftDeep() *Tree {
 	return t
 }
 
-// TreeCost prices a bushy tree exactly under spec: cardinalities are
-// products of table cardinalities and applicable predicate selectivities
-// (with correlation corrections); C_out sums every non-root join result;
-// OperatorCost prices each join with the spec's operator on both operand
-// page counts.
+// Flatten converts a linear tree into the left-deep plan that costs the
+// same under metric, or returns nil for a genuinely bushy shape. Under
+// C_out a join prices its result alone, so any chain in which every join
+// has a leaf child flattens; under operator costs outer and inner are
+// priced differently, so only strict left-deep shapes (every right child
+// a leaf) qualify. It lets the exact bushy searches hand out a left-deep
+// Plan whenever their optimum happens to be one.
+func Flatten(t *Tree, metric cost.Metric) *Plan {
+	if t == nil {
+		return nil
+	}
+	var rev []int
+	n := t
+	for !n.IsLeaf() {
+		switch {
+		case n.Right.IsLeaf():
+			rev = append(rev, n.Right.Table)
+			n = n.Left
+		case metric == cost.Cout && n.Left.IsLeaf():
+			rev = append(rev, n.Left.Table)
+			n = n.Right
+		default:
+			return nil
+		}
+	}
+	rev = append(rev, n.Table)
+	order := make([]int, len(rev))
+	for i, tb := range rev {
+		order[len(rev)-1-i] = tb
+	}
+	return &Plan{Order: order}
+}
+
+// TreeCost prices a bushy tree exactly under spec with the spec's
+// operator at every join; a left-deep tree costs what Evaluate reports for
+// the same plan.
 func TreeCost(q *qopt.Query, t *Tree, spec cost.Spec) (float64, error) {
 	if err := t.Validate(q); err != nil {
 		return 0, err
 	}
-	params := spec.Params.WithDefaults()
-	var total float64
-	var walk func(node *Tree, isRoot bool) (card float64, err error)
-	walk = func(node *Tree, isRoot bool) (float64, error) {
-		if node.IsLeaf() {
-			return q.Tables[node.Table].Card, nil
-		}
-		lc, err := walk(node.Left, false)
-		if err != nil {
-			return 0, err
-		}
-		rc, err := walk(node.Right, false)
-		if err != nil {
-			return 0, err
-		}
-		card := subsetCard(q, node)
-		switch spec.Metric {
-		case cost.Cout:
-			if !isRoot {
-				total += card
-			}
-		case cost.OperatorCost:
-			total += cost.JoinCost(spec.Op, params.Pages(lc), params.Pages(rc), params)
-		default:
-			return 0, fmt.Errorf("plan: unknown metric %v", spec.Metric)
-		}
-		return card, nil
-	}
-	if _, err := walk(t, true); err != nil {
+	k, err := NewKernel(q, spec)
+	if err != nil {
 		return 0, err
 	}
-	return total, nil
-}
-
-// subsetCard computes the exact cardinality of the join of all tables
-// under node.
-func subsetCard(q *qopt.Query, node *Tree) float64 {
-	return SubsetCard(q, node.Tables(nil))
+	return k.treeCost(t), nil
 }
 
 // SubsetCard computes the estimated cardinality of the join of a table
 // subset: the product of table cardinalities, all applicable predicate
-// selectivities, and complete correlation-group corrections. It is the
-// per-node estimate the streaming executor compares measured join sizes
-// against.
+// selectivities (a single table's unary filters included), and complete
+// correlation-group corrections. It is the per-node estimate the
+// streaming executor compares measured join sizes against.
 func SubsetCard(q *qopt.Query, tables []int) float64 {
-	present := map[int]bool{}
-	for _, tb := range tables {
-		present[tb] = true
+	k, _ := NewKernel(q, cost.Spec{})
+	w := k.NewWalker()
+	for _, t := range tables {
+		w.Place(t)
 	}
-	card := 1.0
-	for tb := range present {
-		card *= q.Tables[tb].Card
-	}
-	applied := make([]bool, len(q.Predicates))
-	for pi, p := range q.Predicates {
-		ok := true
-		for _, tb := range p.Tables {
-			if !present[tb] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			applied[pi] = true
-			card *= p.Sel
-		}
-	}
-	for _, g := range q.Correlated {
-		all := true
-		for _, pi := range g.Predicates {
-			if !applied[pi] {
-				all = false
-				break
-			}
-		}
-		if all {
-			card *= g.CorrectionSel
-		}
-	}
-	return card
+	return w.card
 }

@@ -46,17 +46,35 @@ func TestLeftDeepConversionMatchesPlanCost(t *testing.T) {
 	if tr.String() != "((T0 ⋈ T1) ⋈ T2)" {
 		t.Fatalf("LeftDeep = %s", tr)
 	}
-	for _, spec := range []cost.Spec{cost.CoutSpec(), cost.DefaultSpec()} {
-		pc, err := Cost(q, p, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tc, err := TreeCost(q, tr, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(pc-tc) > 1e-9*(1+pc) {
-			t.Errorf("%v: plan cost %g vs tree cost %g", spec.Metric, pc, tc)
+	// The same query with every extension: unary filters on the first
+	// and last table, expensive binary and unary predicates, a 3-ary
+	// predicate and a correlated group.
+	ext := paperQuery()
+	ext.Predicates[0].EvalCostPerTuple = 2
+	ext.Predicates = append(ext.Predicates,
+		qopt.Predicate{Tables: []int{0}, Sel: 0.5, EvalCostPerTuple: 1},
+		qopt.Predicate{Tables: []int{2}, Sel: 0.2},
+		qopt.Predicate{Tables: []int{1, 2}, Sel: 0.3, EvalCostPerTuple: 4},
+		qopt.Predicate{Tables: []int{0, 1, 2}, Sel: 0.7},
+	)
+	ext.Correlated = []qopt.CorrelatedGroup{{Predicates: []int{0, 3}, CorrectionSel: 1.5}}
+	for _, q := range []*qopt.Query{q, ext} {
+		for _, order := range [][]int{{0, 1, 2}, {2, 1, 0}, {1, 2, 0}} {
+			p := &Plan{Order: order}
+			for _, spec := range []cost.Spec{cost.CoutSpec(), cost.DefaultSpec()} {
+				pc, err := Evaluate(q, p, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tc, err := TreeCost(q, p.LeftDeep(), spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Abs(pc.Total-tc) > 1e-9*(1+pc.Total) {
+					t.Errorf("%d predicates, order %v, %v: plan cost %g vs tree cost %g",
+						len(q.Predicates), order, spec.Metric, pc.Total, tc)
+				}
+			}
 		}
 	}
 }
@@ -87,8 +105,8 @@ func TestBushyTreeWithCorrelationGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := subsetCard(q, tr); math.Abs(got-eval.FinalCard) > 1e-9*eval.FinalCard {
-		t.Errorf("subsetCard = %g, want %g", got, eval.FinalCard)
+	if got := SubsetCard(q, tr.Tables(nil)); math.Abs(got-eval.FinalCard) > 1e-9*eval.FinalCard {
+		t.Errorf("SubsetCard = %g, want %g", got, eval.FinalCard)
 	}
 }
 

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"context"
+	"math"
 
 	"milpjoin/joinorder"
 )
@@ -78,6 +79,17 @@ func (o *Optimizer) refreshCorrected(ctx context.Context, q, corrected *joinorde
 		if cerr != nil {
 			return
 		}
-		o.storeExact("e|"+optionsKey(opts)+"|"+ce.Key, storeForm(res, ce), o.cfg.now())
+		// Served for q, the entry states the plan's exact cost under q's
+		// statistics, which is what serving recosts it against. The
+		// solve proved the plan optimal for the corrected statistics,
+		// not for q's, so the entry carries no proof.
+		filed := *res
+		if filed.Cost, cerr = joinorder.PlanCost(q, res.Plan, opts); cerr != nil {
+			return
+		}
+		filed.Objective = filed.Cost
+		filed.Bound, filed.Gap = math.Inf(-1), math.Inf(1)
+		filed.Status = joinorder.StatusFeasible
+		o.storeExact("e|"+optionsKey(opts)+"|"+ce.Key, storeForm(&filed, ce), o.cfg.now())
 	}()
 }

@@ -241,13 +241,16 @@ func (o *Optimizer) Optimize(ctx context.Context, q *joinorder.Query, opts joino
 
 	em := newCallEmitter(start, opts)
 
-	if cres, ok := o.exact.get(ekey, start); ok {
-		o.ctr.hits.Add(1)
-		res := cres.serve(ce, o.cfg.now().Sub(start))
-		em.emitResult(joinorder.KindCacheHit, res)
+	if res, _, ok := o.lookup(q, opts, ce, ekey, em, start); ok {
 		return res, nil
 	}
+	return o.miss(ctx, q, opts, ce, ekey, em, start)
+}
 
+// miss answers a request whose exact lookup missed: degraded under a
+// tight deadline, else by one solve per key that concurrent requests
+// coalesce onto.
+func (o *Optimizer) miss(ctx context.Context, q *joinorder.Query, opts joinorder.Options, ce *Canonical, ekey string, em *callEmitter, start time.Time) (*joinorder.Result, error) {
 	if o.degradeBudget(ctx, opts, start) {
 		return o.serveDegraded(ctx, q, opts, ce, ekey, em, start)
 	}
@@ -265,14 +268,24 @@ func (o *Optimizer) Optimize(ctx context.Context, q *joinorder.Query, opts joino
 			return nil, f.err
 		}
 		if f.res != nil {
-			res := f.res.serve(ce, o.cfg.now().Sub(start))
-			em.emitResult(joinorder.KindCacheHit, res)
-			return res, nil
+			// A flight result is this process's own fresh solve: its
+			// plan is translated and checked, its cost trusted.
+			if res, ok := f.res.serve(q, nil, ce, o.cfg.now().Sub(start)); ok {
+				em.emitResult(joinorder.KindCacheHit, res)
+				return res, nil
+			}
 		}
 		// The leader's result was untranslatable (e.g. a bushy tree
 		// with no left-deep plan): solve independently.
 		o.ctr.misses.Add(1)
 		return o.cfg.Optimize(ctx, q, em.rewire(opts))
+	}
+	// A request that missed its lookup just before an earlier leader
+	// stored its answer and ended its flight leads a new flight: look
+	// once more before solving again.
+	if res, cres, ok := o.lookup(q, opts, ce, ekey, em, start); ok {
+		o.flights.complete(ekey, f, cres, nil)
+		return res, nil
 	}
 	res, cres, err := o.solve(ctx, q, opts, ce, em)
 	o.flights.complete(ekey, f, cres, err)
@@ -280,6 +293,26 @@ func (o *Optimizer) Optimize(ctx context.Context, q *joinorder.Query, opts joino
 		return nil, err
 	}
 	return res, nil
+}
+
+// lookup serves the exact entry under ekey as a cache hit when it answers
+// q. An entry that does not is dropped from memory and the log and
+// counted as rejected, and the lookup misses.
+func (o *Optimizer) lookup(q *joinorder.Query, opts joinorder.Options, ce *Canonical, ekey string, em *callEmitter, start time.Time) (*joinorder.Result, *canonicalResult, bool) {
+	cres, ok := o.exact.get(ekey, o.cfg.now())
+	if !ok {
+		return nil, nil, false
+	}
+	res, ok := cres.serve(q, &opts, ce, o.cfg.now().Sub(start))
+	if !ok {
+		o.exact.remove(ekey)
+		o.persistDelete(persist.KindExact, ekey)
+		o.ctr.rejected.Add(1)
+		return nil, nil, false
+	}
+	o.ctr.hits.Add(1)
+	em.emitResult(joinorder.KindCacheHit, res)
+	return res, cres, true
 }
 
 // solve is the miss path run by a flight leader: warm-start lookup,
@@ -296,7 +329,14 @@ func (o *Optimizer) solve(ctx context.Context, q *joinorder.Query, opts joinorde
 	if !o.cfg.DisableWarmStart && opts.InitialPlan == nil {
 		if c, err := Canonicalize(q, Shape); err == nil {
 			cs = c
-			if d, ok := o.donors.get("s|"+okey+"|"+cs.Key, o.cfg.now()); ok {
+			dkey := "s|" + okey + "|" + cs.Key
+			if d, ok := o.donors.get(dkey, o.cfg.now()); ok && (&joinorder.Plan{Order: d.order, Operators: d.ops}).Validate(q) != nil {
+				// Donors may come from peers and logs: one that is no
+				// plan over this shape's tables is dropped, not used.
+				o.donors.remove(dkey)
+				o.persistDelete(persist.KindDonor, dkey)
+				o.ctr.rejected.Add(1)
+			} else if ok {
 				opts.InitialPlan = &joinorder.Plan{
 					Order:     cs.FromCanonical(d.order),
 					Operators: slices.Clone(d.ops),
@@ -395,17 +435,32 @@ func (o *Optimizer) serveDegraded(ctx context.Context, q *joinorder.Query, opts 
 }
 
 // serve translates a canonical-space cached result into the labels of the
-// requesting query (via its canonical form) and stamps serving time.
-func (cr *canonicalResult) serve(c *Canonical, elapsed time.Duration) *joinorder.Result {
-	out := *cr.res
+// requesting query q (via its canonical form c) and stamps serving time.
+// Entries may come from peers and logs, so serve is where they are
+// checked: it refuses (ok=false) an entry whose plan is not a valid plan
+// of q and, when opts is non-nil, one whose stored cost differs from the
+// plan's exact cost under *opts by more than 1e-9 relative.
+func (cr *canonicalResult) serve(q *joinorder.Query, opts *joinorder.Options, c *Canonical, elapsed time.Duration) (*joinorder.Result, bool) {
+	// Canonical labels range over q's tables, so a valid canonical plan
+	// translates to a valid plan of q.
+	if cr.res.Plan.Validate(q) != nil {
+		return nil, false
+	}
 	pl := &joinorder.Plan{
 		Order:     c.FromCanonical(cr.res.Plan.Order),
 		Operators: slices.Clone(cr.res.Plan.Operators),
 	}
+	if opts != nil {
+		got, err := joinorder.PlanCost(q, pl, *opts)
+		if want := cr.res.Cost; err != nil || got != want && !(math.Abs(got-want) <= 1e-9*math.Abs(want)) {
+			return nil, false
+		}
+	}
+	out := *cr.res
 	out.Plan = pl
 	out.Tree = pl.LeftDeep()
 	out.Elapsed = elapsed
-	return &out
+	return &out, true
 }
 
 // storeForm clones res with its plan translated into canonical label

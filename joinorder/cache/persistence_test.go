@@ -2,6 +2,8 @@ package cache
 
 import (
 	"context"
+	"encoding/json"
+	"math"
 	"testing"
 	"time"
 
@@ -270,6 +272,140 @@ func TestImportRecordRoundTripAndNoAnnounce(t *testing.T) {
 	}
 }
 
+// TestImportedBadPlansAreNotServed imports exact records whose plans are
+// not permutations of the query (too short, repeated tables, an unknown
+// table). Each lookup must reject the entry, count it, and solve afresh
+// instead of serving it or panicking.
+func TestImportedBadPlansAreNotServed(t *testing.T) {
+	q := workload.Generate(workload.Chain, 6, 7, workload.Config{})
+	opts := joinorder.Options{Strategy: "dp-leftdeep"}
+	var key string
+	var val []byte
+	oA := mustNew(t, Config{OnStore: func(kind, k string, v []byte) {
+		if kind == persist.KindExact {
+			key, val = k, v
+		}
+	}})
+	if _, err := oA.Optimize(context.Background(), q, opts); err != nil {
+		t.Fatal(err)
+	}
+	if key == "" {
+		t.Fatal("no exact record announced")
+	}
+	for i, bad := range [][]int{{0}, {0, 0, 0, 0, 0, 0}, {0, 1, 2, 3, 4, 99}} {
+		var rec joinorder.Result
+		if err := json.Unmarshal(val, &rec); err != nil {
+			t.Fatal(err)
+		}
+		rec.Plan.Order = bad
+		tampered, err := json.Marshal(&rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		co := &countingOptimize{}
+		oB := mustNew(t, Config{Optimize: co.fn})
+		if err := oB.ImportRecord(persist.KindExact, key, tampered); err != nil {
+			continue // refused at the door is fine too
+		}
+		res, err := oB.Optimize(context.Background(), q, opts)
+		if err != nil {
+			t.Fatalf("order %v: %v", bad, err)
+		}
+		if err := res.Plan.Validate(q); err != nil {
+			t.Fatalf("order %v served as %v: %v", bad, res.Plan.Order, err)
+		}
+		want, err := joinorder.PlanCost(q, res.Plan, opts)
+		if err != nil || math.Abs(res.Cost-want) > 1e-9*want {
+			t.Fatalf("order %v: cost %g, plan costs %g (%v)", bad, res.Cost, want, err)
+		}
+		s := oB.Stats()
+		if co.calls.Load() != 1 || s.Misses != 1 || s.Hits != 0 || s.Rejected != 1 {
+			t.Fatalf("case %d: calls=%d stats %+v, want one rejected entry and a fresh solve", i, co.calls.Load(), s)
+		}
+		// The rejected entry is gone: the next lookup hits the fresh solve.
+		if _, err := oB.Optimize(context.Background(), q, opts); err != nil {
+			t.Fatal(err)
+		}
+		if s := oB.Stats(); s.Hits != 1 || co.calls.Load() != 1 {
+			t.Fatalf("case %d: after re-solve hits=%d calls=%d", i, s.Hits, co.calls.Load())
+		}
+	}
+}
+
+// TestImportedBadDonorIsNotUsed imports a warm-start donor whose order
+// names a table the query does not have. The next miss of that shape must
+// drop the donor and solve cold instead of panicking on the translation.
+func TestImportedBadDonorIsNotUsed(t *testing.T) {
+	q := workload.Generate(workload.Chain, 6, 7, workload.Config{})
+	opts := joinorder.Options{Strategy: "dp-leftdeep"}
+	var key string
+	var val []byte
+	oA := mustNew(t, Config{OnStore: func(kind, k string, v []byte) {
+		if kind == persist.KindDonor {
+			key, val = k, v
+		}
+	}})
+	if _, err := oA.Optimize(context.Background(), q, opts); err != nil {
+		t.Fatal(err)
+	}
+	if key == "" {
+		t.Fatal("no donor record announced")
+	}
+	var dw donorWire
+	if err := json.Unmarshal(val, &dw); err != nil {
+		t.Fatal(err)
+	}
+	dw.Order = []int{0, 1, 2, 3, 4, 99}
+	tampered, err := json.Marshal(&dw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oB := mustNew(t, Config{})
+	if err := oB.ImportRecord(persist.KindDonor, key, tampered); err != nil {
+		t.Fatal(err)
+	}
+	res, err := oB.Optimize(context.Background(), q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Plan.Validate(q); err != nil {
+		t.Fatal(err)
+	}
+	if s := oB.Stats(); s.WarmStarts != 0 || s.Rejected != 1 || s.Misses != 1 {
+		t.Fatalf("stats %+v, want one rejected donor and a cold solve", s)
+	}
+}
+
+// TestFlightLeaderLooksAgain puts a request where it is when its exact
+// lookup missed just before an earlier leader stored a proven-optimal
+// answer and ended its flight: it leads a new flight, and must serve that
+// answer instead of solving again.
+func TestFlightLeaderLooksAgain(t *testing.T) {
+	q := workload.Generate(workload.Chain, 6, 7, workload.Config{})
+	opts := joinorder.Options{Strategy: "dp-leftdeep"}
+	co := &countingOptimize{}
+	o := mustNew(t, Config{Optimize: co.fn})
+	first, err := o.Optimize(context.Background(), q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ce, err := Canonicalize(q, Exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	res, err := o.miss(context.Background(), q, opts, ce, "e|"+optionsKey(opts)+"|"+ce.Key, newCallEmitter(start, opts), start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if co.calls.Load() != 1 || res.Cost != first.Cost {
+		t.Fatalf("%d solves, cost %g; want the stored answer (cost %g) and no second solve", co.calls.Load(), res.Cost, first.Cost)
+	}
+	if s := o.Stats(); s.Hits != 1 || s.Misses != 1 {
+		t.Fatalf("stats %+v, want the second request counted as a hit", s)
+	}
+}
+
 func TestCorrectedFeedbackRefreshesCache(t *testing.T) {
 	// Optimize against skewed estimates, execute against the truth: the
 	// adaptive executor reports a corrected query, the stale entry is
@@ -310,11 +446,21 @@ func TestCorrectedFeedbackRefreshesCache(t *testing.T) {
 	// The refreshed entry answers the original query without a solve.
 	co := &countingOptimize{}
 	o.cfg.Optimize = co.fn
-	if _, err := o.Optimize(context.Background(), est, milpOpts()); err != nil {
+	res, err := o.Optimize(context.Background(), est, milpOpts())
+	if err != nil {
 		t.Fatal(err)
 	}
 	if co.calls.Load() != 0 {
 		t.Fatalf("refreshed entry missing: %d solves after refresh", co.calls.Load())
+	}
+	// It states the plan's cost under the original statistics and claims
+	// no optimality it was not proven to have for them.
+	want, err := joinorder.PlanCost(est, res.Plan, milpOpts())
+	if err != nil || res.Cost != want || res.Objective != res.Cost {
+		t.Fatalf("refreshed entry cost %g objective %g, plan costs %g (%v)", res.Cost, res.Objective, want, err)
+	}
+	if res.Status != joinorder.StatusFeasible || res.Bound > res.Cost || !math.IsInf(res.Gap, 1) {
+		t.Fatalf("refreshed entry status %v bound %g gap %g, want an unproven feasible plan", res.Status, res.Bound, res.Gap)
 	}
 }
 

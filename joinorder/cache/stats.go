@@ -35,6 +35,12 @@ type Stats struct {
 	// Invalidated counts entries removed by explicit invalidation —
 	// Invalidate calls and the corrected-cardinality feedback loop.
 	Invalidated int64 `json:"invalidated"`
+	// Rejected counts entries removed because their lookup refused them:
+	// exact entries whose plan is not a permutation of the query's tables
+	// or whose stored cost the exact recost does not reproduce (the
+	// lookup then misses), and warm-start donors whose order is not a
+	// permutation (the solve then starts cold).
+	Rejected int64 `json:"rejected"`
 	// Replayed counts entries loaded from the persistent log at startup.
 	Replayed int64 `json:"replayed"`
 	// ReplayEvicted counts replayed entries the LRU bounds evicted again
@@ -79,6 +85,7 @@ type counters struct {
 	evicted           atomic.Int64
 	expired           atomic.Int64
 	invalidated       atomic.Int64
+	rejected          atomic.Int64
 	replayed          atomic.Int64
 	replayEvicted     atomic.Int64
 	imported          atomic.Int64
@@ -99,6 +106,7 @@ func (c *counters) snapshot() Stats {
 		Evicted:           c.evicted.Load(),
 		Expired:           c.expired.Load(),
 		Invalidated:       c.invalidated.Load(),
+		Rejected:          c.rejected.Load(),
 		Replayed:          c.replayed.Load(),
 		ReplayEvicted:     c.replayEvicted.Load(),
 		Imported:          c.imported.Load(),

@@ -378,6 +378,12 @@ func (o Options) spec() cost.Spec {
 	return cost.Spec{Metric: o.Metric, Op: op, Params: cost.Params{}.WithDefaults()}
 }
 
+// PlanCost is the exact cost of a left-deep plan for q under the options'
+// cost model — what Result.Cost reports for it.
+func PlanCost(q *Query, p *Plan, opts Options) (float64, error) {
+	return plan.Cost(q, p, opts.spec())
+}
+
 // deadline converts the effective time limit into an absolute deadline
 // (zero when no limit is configured).
 func (o Options) deadline(now time.Time) time.Time {

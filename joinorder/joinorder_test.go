@@ -7,6 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"milpjoin/internal/cost"
+	"milpjoin/internal/dp"
+	"milpjoin/internal/plan"
 	"milpjoin/internal/workload"
 	"milpjoin/joinorder"
 )
@@ -233,5 +236,63 @@ func TestContextDeadlineMapsToTimeLimit(t *testing.T) {
 	}
 	if res.Plan == nil {
 		t.Fatal("no incumbent plan at the context deadline")
+	}
+}
+
+// TestEveryStrategyReportsExactCost: whatever a registered strategy
+// optimizes internally, the Cost it reports is the exact cost of the plan
+// it returns (of the tree, for bushy-only results), and the exact
+// strategies' bounds never exceed the exhaustive left-deep optimum —
+// checked on queries with unary, expensive and correlated predicates
+// under both metrics. (The MILP's bound lives in its approximated
+// objective space and is not compared.)
+func TestEveryStrategyReportsExactCost(t *testing.T) {
+	star := workload.Generate(workload.Star, 6, 11, workload.Config{MinLogCard: 1, MaxLogCard: 4})
+	star.Predicates[0].EvalCostPerTuple = 4
+	star.Predicates = append(star.Predicates,
+		joinorder.Predicate{Name: "f0", Tables: []int{0}, Sel: 0.2, EvalCostPerTuple: 1},
+		joinorder.Predicate{Name: "f5", Tables: []int{5}, Sel: 0.01},
+	)
+	star.Correlated = []joinorder.CorrelatedGroup{{Predicates: []int{1, 2}, CorrectionSel: 2.5}}
+	// A filter on the highest-index table makes [1 2 0] cost 0.1 under
+	// C_out.
+	filtered := &joinorder.Query{
+		Tables: []joinorder.Table{{Card: 10}, {Card: 100}, {Card: 1000}},
+		Predicates: []joinorder.Predicate{
+			{Tables: []int{0, 1}, Sel: 0.1},
+			{Tables: []int{1, 2}, Sel: 0.01},
+			{Tables: []int{2}, Sel: 1e-4},
+		},
+	}
+	for qi, q := range []*joinorder.Query{star, filtered} {
+		for _, metric := range []joinorder.Metric{joinorder.Cout, joinorder.OperatorCost} {
+			spec := cost.Spec{Metric: metric, Op: cost.HashJoin, Params: cost.Params{}.WithDefaults()}
+			_, optimum, err := dp.ExhaustiveLeftDeep(q, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range joinorder.Strategies() {
+				res, err := joinorder.Optimize(context.Background(), q, joinorder.Options{
+					Strategy: name,
+					Metric:   metric,
+					Budget:   joinorder.Budget{TimeLimit: 2 * time.Second},
+				})
+				if err != nil {
+					t.Fatalf("query %d %v %s: %v", qi, metric, name, err)
+				}
+				var want float64
+				if res.Plan != nil {
+					want, err = plan.Cost(q, res.Plan, spec)
+				} else {
+					want, err = plan.TreeCost(q, res.Tree, spec)
+				}
+				if err != nil || math.Abs(res.Cost-want) > 1e-9*math.Max(1, want) {
+					t.Errorf("query %d %v %s: reported cost %g, exact cost %g (%v)", qi, metric, name, res.Cost, want, err)
+				}
+				if name != "milp" && name != "auto" && res.Bound > optimum*(1+1e-9) {
+					t.Errorf("query %d %v %s: bound %g above the left-deep optimum %g", qi, metric, name, res.Bound, optimum)
+				}
+			}
+		}
 	}
 }

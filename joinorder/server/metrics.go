@@ -157,6 +157,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("joinoptd_cache_replay_evicted_total", "Replayed entries evicted again by the LRU bounds during startup.", snap.Cache.ReplayEvicted)
 	counter("joinoptd_cache_imported_total", "Entries accepted from cluster peers.", snap.Cache.Imported)
 	counter("joinoptd_cache_invalidated_total", "Entries removed by explicit invalidation.", snap.Cache.Invalidated)
+	counter("joinoptd_cache_rejected_total", "Entries removed because serve-time validation refused their plan.", snap.Cache.Rejected)
 	counter("joinoptd_cache_feedback_refreshes_total", "Corrected-cardinality feedback refreshes.", snap.Cache.FeedbackRefreshes)
 	counter("joinoptd_cache_persist_errors_total", "Failed persistent-log writes.", snap.Cache.PersistErrors)
 	gauge("joinoptd_cache_entries", "Exact cache entries resident.", float64(snap.Cache.Entries))

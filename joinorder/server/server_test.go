@@ -415,8 +415,12 @@ func TestCoalescedIdenticalQueriesSolveOnce(t *testing.T) {
 		}()
 	}
 	// All n requests hold worker slots: one solving leader, n−1 waiting
-	// on its flight.
+	// on its flight. A slot is taken before the flight is joined, so wait
+	// for the joins too: the leader's result is not proven optimal, so
+	// the cache does not store it, and a request still on its way when
+	// the flight ends must solve again.
 	waitFor(t, func() bool { running, _ := s.adm.load(); return running == n })
+	waitFor(t, func() bool { return s.Cache().Stats().Coalesced == n-1 })
 	close(bo.release)
 
 	coalesced := 0

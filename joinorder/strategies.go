@@ -195,7 +195,7 @@ func optimizeDPBushy(ctx context.Context, q *Query, opts Options) (*Result, erro
 		return nil, mapBaselineErr(ctx, err)
 	}
 	elapsed := time.Since(start)
-	newAnytime("dp-bushy", opts).improved(leftDeepFromTree(tree, opts.Metric), c, elapsed, c)
+	newAnytime("dp-bushy", opts).improved(plan.Flatten(tree, opts.Metric), c, elapsed, c)
 	return &Result{
 		Strategy:  "dp-bushy",
 		Status:    StatusOptimal,
@@ -223,7 +223,7 @@ func optimizeDPConv(ctx context.Context, q *Query, opts Options) (*Result, error
 		return nil, mapBaselineErr(ctx, err)
 	}
 	elapsed := time.Since(start)
-	pl := leftDeepFromTree(tree, opts.Metric)
+	pl := plan.Flatten(tree, opts.Metric)
 	newAnytime("dpconv", opts).improved(pl, c, elapsed, c)
 	return &Result{
 		Strategy:  "dpconv",
@@ -235,40 +235,6 @@ func optimizeDPConv(ctx context.Context, q *Query, opts Options) (*Result, error
 		Bound:     c,
 		Elapsed:   elapsed,
 	}, nil
-}
-
-// leftDeepFromTree flattens a linear tree into the cost-equivalent
-// left-deep Plan; nil for genuinely bushy trees. Under C_out join cost is
-// orientation-blind, so any chain where every join has a leaf child
-// flattens (the per-step table sets are identical); under operator costs
-// outer and inner are priced differently, so only strict left-deep shapes
-// (every right child a leaf) qualify. It lets the exact bushy strategies
-// feed the portfolio's plan-space injection channel whenever their optimum
-// happens to be left-deep.
-func leftDeepFromTree(t *Tree, metric Metric) *Plan {
-	if t == nil {
-		return nil
-	}
-	var rev []int
-	n := t
-	for !n.IsLeaf() {
-		switch {
-		case n.Right.IsLeaf():
-			rev = append(rev, n.Right.Table)
-			n = n.Left
-		case metric == Cout && n.Left.IsLeaf():
-			rev = append(rev, n.Left.Table)
-			n = n.Right
-		default:
-			return nil
-		}
-	}
-	rev = append(rev, n.Table)
-	order := make([]int, len(rev))
-	for i, tb := range rev {
-		order[len(rev)-1-i] = tb
-	}
-	return &Plan{Order: order}
 }
 
 // optimizeIKKBZ runs the polynomial IKKBZ algorithm. Its optimality
